@@ -267,19 +267,10 @@ func NewCluster(opt Options) *Cluster {
 		h.EnableLoadAds(0)
 		registerHostMetrics(tb, h)
 		c.FSHosts = append(c.FSHosts, h)
-		var fs *fileserver.Server
-		var ns *nameserver.Server
-		if nfs > 1 {
-			c.fsStores = append(c.fsStores, rsm.NewStore())
-			c.nsStores = append(c.nsStores, rsm.NewStore())
-			fs = fileserver.StartReplica(h, j, nfs, c.fsStores[j])
-			ns = nameserver.StartReplica(h, j, nfs, c.nsStores[j])
-		} else {
-			fs = fileserver.Start(h)
-			ns = nameserver.Start(h)
-		}
-		c.FSReps = append(c.FSReps, fs)
-		c.NSReps = append(c.NSReps, ns)
+		c.fsStores = append(c.fsStores, rsm.NewStore())
+		c.nsStores = append(c.nsStores, rsm.NewStore())
+		c.FSReps = append(c.FSReps, fileserver.Start(h, j, nfs, c.fsStores[j]))
+		c.NSReps = append(c.NSReps, nameserver.Start(h, j, nfs, c.nsStores[j]))
 		j := j
 		c.Fault.RegisterHost(h.NIC.MAC(), h.Crash, func() { c.restartFSReplica(j) })
 	}
@@ -422,13 +413,8 @@ func (c *Cluster) restartFSReplica(j int) {
 		return
 	}
 	h.Restart()
-	if len(c.FSHosts) > 1 {
-		c.FSReps[j] = fileserver.StartReplica(h, j, len(c.FSHosts), c.fsStores[j])
-		c.NSReps[j] = nameserver.StartReplica(h, j, len(c.FSHosts), c.nsStores[j])
-	} else {
-		c.FSReps[j] = fileserver.Start(h)
-		c.NSReps[j] = nameserver.Start(h)
-	}
+	c.FSReps[j] = fileserver.Start(h, j, len(c.FSHosts), c.fsStores[j])
+	c.NSReps[j] = nameserver.Start(h, j, len(c.FSHosts), c.nsStores[j])
 	for _, img := range c.images {
 		c.FSReps[j].Put(img.name, img.data)
 	}

@@ -183,6 +183,7 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 			LHID: job.LHID, PID: job.PID, Name: prog, Args: args,
 			Stdout: a.node.Display.PID(), MinMem: ExecMinMem,
 			HostPM: sel.PM, HostLH: sel.SystemLH, MaxRestarts: maxRestarts,
+			Started: ctx.Now(),
 		})
 	}
 	return job, nil
@@ -207,12 +208,10 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 			a.Sleep(300 * time.Millisecond)
 		}
 		if a.node.PM.HomeReplica() != nil {
-			// This workstation is itself a group member, so a direct local
-			// Supervise would mutate the replicated registry outside the log:
-			// the session would exist on one replica only, get baked into its
-			// snapshots, and never be lease-renewed (only the fenced leader
-			// acts). Park the record instead; the lease worker re-proposes it
-			// through the group once a leader is reachable.
+			// This workstation is itself a group member: its registry changes
+			// only through the log, which has no reachable leader. Park the
+			// record instead; the lease worker re-proposes it through the
+			// group once a leader is reachable.
 			a.node.PM.QueueHomeSupervise(*si)
 			return
 		}
@@ -220,7 +219,8 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 		// manager is not a member: plain local supervision is safe here and
 		// keeps the job watched by *someone*.
 	}
-	a.node.PM.Supervise(*si)
+	// A manager outside the home group applies in place, which cannot fail.
+	_ = a.node.PM.Supervise(a.ctx, *si)
 }
 
 // homeWaitTarget is where a Wait retreats when the hosting manager cannot
@@ -243,9 +243,14 @@ func (a *Agent) noteExited(lhid vid.LHID, code uint32) {
 			return
 		}
 		// Group unreachable: harmless — the leader's next renewal sees the
-		// exit code from the hosting manager and commits it then.
+		// exit code from the hosting manager and commits it then. A group
+		// member leaves it to that renewal: only a committed entry may
+		// change its replica.
+		if a.node.PM.HomeReplica() != nil {
+			return
+		}
 	}
-	a.node.PM.NoteExited(lhid, code)
+	_ = a.node.PM.NoteExited(a.ctx, lhid, code) // applied in place: cannot fail
 }
 
 func whereName(a *Agent, sel HostSel) string {

@@ -6,6 +6,7 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/params"
+	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
@@ -179,6 +180,78 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 	assertGapless(t, c.Node(0).Display.Lines(), 300)
 	if got := c.Trace.Count(trace.EvExecRestart); got < 1 {
 		t.Fatalf("EvExecRestart = %d, want ≥1 (queued record must reach the leader)", got)
+	}
+}
+
+// The exit-side twin of the test above: a member's agent that cannot reach
+// the home group must not record its job's exit in its own replica, which
+// would again be a registry write outside the log. The job exits while
+// member ws0 is cut off from the other two members, so the agent's
+// PmNoteExited finds no leader. ws0's copy of the session must stay as it
+// was until a committed entry changes it: after the heal, the leader's
+// renewal sees the exit and commits it, and only that reaches ws0.
+func TestMemberAgentPartitionedFromGroupLeavesExitToLog(t *testing.T) {
+	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
+	ws0 := c.Node(0).PM
+	mac0 := c.Node(0).Host.NIC.MAC()
+	mac1 := c.Node(1).Host.NIC.MAC()
+	mac2 := c.Node(2).Host.NIC.MAC()
+	session := func(lhid vid.LHID) progmgr.SessionView {
+		for _, s := range ws0.Sessions() {
+			if s.LHID == lhid {
+				return s
+			}
+		}
+		return progmgr.SessionView{State: "absent"}
+	}
+
+	var before, during, after progmgr.SessionView
+	var appliedBefore, appliedDuring, appliedAfter uint32
+	var code uint32
+	var err error
+	done := false
+	c.Node(0).Agent(func(a *Agent) {
+		a.Sleep(2500 * time.Millisecond) // let the group elect its first leader
+		var job *Job
+		if job, err = a.Exec("ticker200", nil, "ws4"); err != nil {
+			return
+		}
+		// Let the committed Supervise record reach ws0's replica, then cut
+		// ws0 off from the other members for the rest of the job's life.
+		a.Sleep(500 * time.Millisecond)
+		if c.HomeLeaderIdx() == 0 {
+			t.Error("ws0 leads the home group; the test needs it to be a follower")
+		}
+		c.Bus.SetCut(func(src, dst ethernet.MAC) bool {
+			return (src == mac0 && (dst == mac1 || dst == mac2)) ||
+				(dst == mac0 && (src == mac1 || src == mac2))
+		})
+		before, appliedBefore = session(job.LHID), ws0.HomeReplica().AppliedIndex()
+		code, err = a.Wait(job) // the hosting manager on ws4 is still reachable
+		during, appliedDuring = session(job.LHID), ws0.HomeReplica().AppliedIndex()
+		c.Bus.SetCut(nil)
+		a.Sleep(5 * params.LeaseInterval)
+		after, appliedAfter = session(job.LHID), ws0.HomeReplica().AppliedIndex()
+		done = true
+	})
+	c.Run(2 * time.Minute)
+
+	if !done || err != nil || code != 0 {
+		t.Fatalf("job: done=%v err=%v exit=%d", done, err, code)
+	}
+	if before.State != "active" {
+		t.Fatalf("ws0's session before the exit: %q, want active", before.State)
+	}
+	if appliedDuring != appliedBefore {
+		t.Fatalf("ws0 applied entries %d..%d while cut off", appliedBefore, appliedDuring)
+	}
+	if during.State != before.State || during.ExitCode != before.ExitCode {
+		t.Fatalf("ws0's session changed outside the log: %q exit %d, was %q exit %d",
+			during.State, during.ExitCode, before.State, before.ExitCode)
+	}
+	if after.State != "done" || after.ExitCode != code || appliedAfter <= appliedDuring {
+		t.Fatalf("after the heal ws0's session is %q exit %d at applied %d (was %d), want done through the log",
+			after.State, after.ExitCode, appliedAfter, appliedDuring)
 	}
 }
 

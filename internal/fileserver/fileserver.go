@@ -9,6 +9,7 @@
 package fileserver
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -51,12 +52,21 @@ type Server struct {
 	rep   *rsm.Replica // nil when the server runs unreplicated
 }
 
-// Start spawns a file server on a host (typically a dedicated server
-// machine) and joins the file-server group.
-func Start(h *kernel.Host) *Server {
+// Start spawns file-server member id of n on a host (typically a dedicated
+// server machine) and joins the client-facing file-server group. With
+// n ≥ 2 the member is a consensus replica that also joins the replication
+// group; a lone server (n < 2) applies its mutations in place. The caller
+// owns store — a replica's "disk" — and re-passes it on restart; a lone
+// server ignores it.
+func Start(h *kernel.Host, id, n int, store *rsm.Store) *Server {
 	s := &Server{files: make(map[string][]byte), pages: make(map[string][]byte)}
 	s.proc = h.SpawnServer("fileserver", 128*1024, s.run)
 	h.JoinGroup(vid.GroupFileServers, s.proc.PID())
+	if n >= 2 {
+		s.rep = rsm.New(h, rsm.Config{
+			Name: "fs", Group: vid.GroupFSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
+		}, &fsSM{s}, store)
+	}
 	return s
 }
 
@@ -130,53 +140,39 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(n)}, Seg: data[off : off+n]})
 
 		case OpWrite:
-			name, payload, ok := splitNameData(m.Seg)
+			_, payload, ok := splitNameData(m.Seg)
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			var size int
-			if s.rep != nil {
-				res, err := s.commitWrite(ctx, OpWrite, m.W[0], m.Seg)
-				if err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-				if len(res) < 4 {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
-					continue
-				}
-				size = int(leUint32(res))
-			} else {
-				size = s.applyWrite(name, int(m.W[0]), payload)
+			res, err := s.commit(ctx, OpWrite, m.W[0], m.Seg)
+			if err != nil {
+				s.replyCommitErr(ctx, req, err)
+				continue
+			}
+			if len(res) < 4 {
+				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
+				continue
 			}
 			ctx.Compute(blockCost(len(payload)))
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(size)}})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{binary.LittleEndian.Uint32(res)}})
 
 		case OpRemove:
-			if s.rep != nil {
-				if _, err := s.commitWrite(ctx, OpRemove, 0, m.Seg); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				delete(s.files, m.SegString())
+			if _, err := s.commit(ctx, OpRemove, 0, m.Seg); err != nil {
+				s.replyCommitErr(ctx, req, err)
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
 		case OpPageOut:
-			key, payload, ok := splitNameData(m.Seg)
+			_, payload, ok := splitNameData(m.Seg)
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				if _, err := s.commitWrite(ctx, OpPageOut, 0, m.Seg); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				s.pages[key] = append([]byte(nil), payload...)
+			if _, err := s.commit(ctx, OpPageOut, 0, m.Seg); err != nil {
+				s.replyCommitErr(ctx, req, err)
+				continue
 			}
 			ctx.Compute(blockCost(len(payload)))
 			ctx.Reply(req, vid.Message{Op: m.Op})
@@ -192,15 +188,9 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				// A full run exceeds the log's command budget: commit it as
-				// ordered sub-run commands (keyed stores keep this idempotent).
-				if err := s.submitRun(ctx, prefix, spaceID, pages, data); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				s.applyRun(prefix, spaceID, pages, data)
+			if err := s.commitRun(ctx, prefix, spaceID, pages, data); err != nil {
+				s.replyCommitErr(ctx, req, err)
+				continue
 			}
 			n := 0
 			for _, d := range data {
@@ -237,25 +227,79 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 	}
 }
 
-// applyWrite mutates the file store and returns the file's new size. It is
-// the one OpWrite mutation path, shared by the unreplicated server and the
-// replicated state machine's Apply.
-func (s *Server) applyWrite(name string, off int, payload []byte) int {
-	f := s.files[name]
-	if need := off + len(payload); need > len(f) {
-		f = append(f, make([]byte, need-len(f))...)
+// commit is the store's one mutation path. A lone server applies the
+// mutation in place; a replica commits it through the log, and every
+// member applies it there in commit order. Either way apply produces the
+// result, so the two modes cannot drift apart.
+func (s *Server) commit(ctx *kernel.ProcCtx, op uint16, w0 uint32, seg []byte) ([]byte, error) {
+	if s.rep == nil {
+		return s.apply(op, w0, seg), nil
 	}
-	copy(f[off:], payload)
-	s.files[name] = f
-	return len(f)
+	return s.rep.Submit(ctx, encodeFsCmd(op, w0, seg))
 }
 
-// applyRun stores a decoded page run under "prefix/space/pageno" keys.
-func (s *Server) applyRun(prefix string, spaceID uint32, pages []mem.PageNo, data [][]byte) {
-	for i, pn := range pages {
-		key := fmt.Sprintf("%s/%d/%d", prefix, spaceID, pn)
-		s.pages[key] = append([]byte(nil), data[i]...)
+// commitRun commits a page-out run as ordered sub-runs small enough for one
+// log entry (the raw 30-page run exceeds RsmMaxCmd). Page stores are keyed,
+// so a replayed sub-run is idempotent.
+func (s *Server) commitRun(ctx *kernel.ProcCtx, prefix string, spaceID uint32,
+	pages []mem.PageNo, data [][]byte) error {
+
+	perCmd := (params.RsmMaxCmd - len(prefix) - 64) / (mem.PageSize + 8)
+	if perCmd < 1 {
+		perCmd = 1
 	}
+	for off := 0; off < len(pages); off += perCmd {
+		end := off + perCmd
+		if end > len(pages) {
+			end = len(pages)
+		}
+		seg := append([]byte(prefix), 0)
+		seg = append(seg, kernel.EncodePageRun(spaceID, pages[off:end], data[off:end])...)
+		if _, err := s.commit(ctx, OpPageOutRun, 0, seg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// apply performs one mutation on the store: the state machine's Apply for
+// a replica, commit itself for a lone server. OpWrite returns the file's
+// new size as a little-endian uint32.
+func (s *Server) apply(op uint16, w0 uint32, seg []byte) []byte {
+	switch op {
+	case OpWrite:
+		name, payload, ok := splitNameData(seg)
+		if !ok {
+			return nil
+		}
+		f := s.files[name]
+		if need := int(w0) + len(payload); need > len(f) {
+			f = append(f, make([]byte, need-len(f))...)
+		}
+		copy(f[w0:], payload)
+		s.files[name] = f
+		return binary.LittleEndian.AppendUint32(nil, uint32(len(f)))
+	case OpRemove:
+		delete(s.files, string(seg))
+	case OpPageOut:
+		if key, payload, ok := splitNameData(seg); ok {
+			s.pages[key] = append([]byte(nil), payload...)
+		}
+	case OpPageOutRun:
+		prefix, blob, ok := splitNameData(seg)
+		if !ok {
+			return nil
+		}
+		spaceID, pages, data, err := kernel.DecodePageRun(blob)
+		if err != nil {
+			return nil
+		}
+		for i, pn := range pages {
+			key := fmt.Sprintf("%s/%d/%d", prefix, spaceID, pn)
+			s.pages[key] = append([]byte(nil), data[i]...)
+		}
+	}
+	return nil
 }
 
 // replyCommitErr maps a failed log commit to a wire reply: lost leadership
@@ -266,10 +310,6 @@ func (s *Server) replyCommitErr(ctx *kernel.ProcCtx, req *ipc.Req, err error) {
 		return
 	}
 	ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-}
-
-func leUint32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // splitNameData separates "name\x00data" segments.

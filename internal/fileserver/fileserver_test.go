@@ -23,7 +23,7 @@ func newRig(seed int64) *rig {
 	bus := ethernet.NewBus(eng)
 	client := kernel.NewHost(eng, bus, 0, "ws0")
 	server := kernel.NewHost(eng, bus, 1, "fserv")
-	return &rig{eng: eng, fs: Start(server), client: client}
+	return &rig{eng: eng, fs: Start(server, 0, 1, nil), client: client}
 }
 
 // call runs one request from a client process and returns the reply.
@@ -149,5 +149,46 @@ func TestBadRequests(t *testing.T) {
 	}
 	if rep := r.call(t, vid.Message{Op: OpWrite, Seg: []byte("no-nul")}); rep.OK() {
 		t.Fatal("malformed write succeeded")
+	}
+}
+
+// TestLoneCommitMatchesReplicaApply pins the store's single mutation path:
+// one mutation sequence committed on a lone server and applied as encoded
+// log commands by a replica's state machine must leave byte-identical
+// snapshots and return identical results.
+func TestLoneCommitMatchesReplicaApply(t *testing.T) {
+	page := bytes.Repeat([]byte{0xA5}, mem.PageSize)
+	run := append([]byte("swap\x00"), kernel.EncodePageRun(7,
+		[]mem.PageNo{3, 4}, [][]byte{page, make([]byte, mem.PageSize)})...)
+	steps := []struct {
+		op  uint16
+		w0  uint32
+		seg []byte
+	}{
+		{OpWrite, 0, []byte("a\x00hello")},
+		{OpWrite, 8, []byte("a\x00xy")}, // extends the file with a zero gap
+		{OpWrite, 0, []byte("b\x00doomed")},
+		{OpRemove, 0, []byte("b")},
+		{OpRemove, 0, []byte("missing")},
+		{OpPageOut, 0, []byte("p/1/0\x00page")},
+		{OpPageOutRun, 0, run},
+		{OpWrite, 0, []byte("no separator")},
+	}
+	lone := &Server{files: make(map[string][]byte), pages: make(map[string][]byte)}
+	replica := &fsSM{&Server{files: make(map[string][]byte), pages: make(map[string][]byte)}}
+	for i, st := range steps {
+		got, err := lone.commit(nil, st.op, st.w0, st.seg)
+		if err != nil {
+			t.Fatalf("step %d: lone commit: %v", i, err)
+		}
+		if want := replica.Apply(nil, encodeFsCmd(st.op, st.w0, st.seg)); !bytes.Equal(got, want) {
+			t.Fatalf("step %d: lone result %x, replica result %x", i, got, want)
+		}
+	}
+	if !bytes.Equal((&fsSM{lone}).Snapshot(), replica.Snapshot()) {
+		t.Fatal("lone server and replica stores differ")
+	}
+	if f := lone.files["a"]; !bytes.Equal(f, []byte("hello\x00\x00\x00xy")) || len(lone.pages) != 3 {
+		t.Fatalf("unexpected store: a=%q, %d pages", f, len(lone.pages))
 	}
 }

@@ -6,17 +6,16 @@ import (
 
 	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
-	"vsystem/internal/mem"
-	"vsystem/internal/params"
 	"vsystem/internal/rsm"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
 
-// Replicated backend: StartReplica members carry the full file/page store
-// as a replicated state machine. Mutations (OpWrite, OpRemove, OpPageOut,
-// OpPageOutRun) are committed through the rsm log by the leader and applied
-// on every replica; reads are served by the leader or by any follower that
+// Replicated backend: members started with n ≥ 2 carry the full file/page
+// store as a replicated state machine. Mutations (OpWrite, OpRemove,
+// OpPageOut, OpPageOutRun) are committed through the rsm log by the leader
+// and applied on every replica by the same apply a lone server runs in
+// place; reads are served by the leader or by any follower that
 // is provably caught up (rsm.Synced), so image loads — and the post-copy
 // flush-image fallback — survive the death of any single server machine.
 //
@@ -31,19 +30,6 @@ import (
 // request (no flag) it drops in silence, leaving the answer to a replica
 // that can.
 const FsUnicast uint32 = 1
-
-// StartReplica spawns file-server replica id of n on a host, joining both
-// the client-facing file-server group and the replication group. The
-// caller owns store — the replica's "disk" — and re-passes it on restart.
-func StartReplica(h *kernel.Host, id, n int, store *rsm.Store) *Server {
-	s := &Server{files: make(map[string][]byte), pages: make(map[string][]byte)}
-	s.proc = h.SpawnServer("fileserver", 128*1024, s.run)
-	h.JoinGroup(vid.GroupFileServers, s.proc.PID())
-	s.rep = rsm.New(h, rsm.Config{
-		Name: "fs", Group: vid.GroupFSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
-	}, &fsSM{s}, store)
-	return s
-}
 
 // Replica returns the server's consensus replica (nil when unreplicated).
 func (s *Server) Replica() *rsm.Replica { return s.rep }
@@ -102,36 +88,6 @@ func decodeFsCmd(cmd []byte) (op uint16, w0 uint32, seg []byte, ok bool) {
 		binary.LittleEndian.Uint32(cmd[2:]), cmd[6:], true
 }
 
-// commitWrite routes one admitted mutation through the log and returns the
-// applied result (the leader's own apply produces it).
-func (s *Server) commitWrite(ctx *kernel.ProcCtx, op uint16, w0 uint32, seg []byte) ([]byte, error) {
-	return s.rep.Submit(ctx, encodeFsCmd(op, w0, seg))
-}
-
-// submitRun splits a page-out run into log commands small enough for one
-// append entry (the raw 30-page run exceeds RsmMaxCmd) and commits them in
-// order. Page stores are keyed, so replayed sub-runs are idempotent.
-func (s *Server) submitRun(ctx *kernel.ProcCtx, prefix string, spaceID uint32,
-	pages []mem.PageNo, data [][]byte) error {
-
-	perCmd := (params.RsmMaxCmd - len(prefix) - 64) / (mem.PageSize + 8)
-	if perCmd < 1 {
-		perCmd = 1
-	}
-	for off := 0; off < len(pages); off += perCmd {
-		end := off + perCmd
-		if end > len(pages) {
-			end = len(pages)
-		}
-		seg := append([]byte(prefix), 0)
-		seg = append(seg, kernel.EncodePageRun(spaceID, pages[off:end], data[off:end])...)
-		if _, err := s.rep.Submit(ctx, encodeFsCmd(OpPageOutRun, 0, seg)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------- state machine
 
 type fsSM struct{ s *Server }
@@ -141,32 +97,7 @@ func (f *fsSM) Apply(t *sim.Task, cmd []byte) []byte {
 	if !ok {
 		return nil
 	}
-	switch op {
-	case OpWrite:
-		name, payload, ok := splitNameData(seg)
-		if !ok {
-			return nil
-		}
-		size := f.s.applyWrite(name, int(w0), payload)
-		var res [4]byte
-		binary.LittleEndian.PutUint32(res[:], uint32(size))
-		return res[:]
-	case OpRemove:
-		delete(f.s.files, string(seg))
-	case OpPageOut:
-		if key, payload, ok := splitNameData(seg); ok {
-			f.s.pages[key] = append([]byte(nil), payload...)
-		}
-	case OpPageOutRun:
-		prefix, blob, ok := splitNameData(seg)
-		if !ok {
-			return nil
-		}
-		if spaceID, pages, data, err := kernel.DecodePageRun(blob); err == nil {
-			f.s.applyRun(prefix, spaceID, pages, data)
-		}
-	}
-	return nil
+	return f.s.apply(op, w0, seg)
 }
 
 // Snapshot renders the whole store deterministically: sorted names,

@@ -40,11 +40,19 @@ type Server struct {
 	rep   *rsm.Replica // nil when the server runs unreplicated
 }
 
-// Start spawns a name server on a host and joins the name-server group.
-func Start(h *kernel.Host) *Server {
+// Start spawns name-server member id of n on a host and joins the
+// name-server group. With n ≥ 2 the member is a consensus replica; a lone
+// server (n < 2) applies registrations in place. The caller owns store and
+// re-passes it on restart; a lone server ignores it.
+func Start(h *kernel.Host, id, n int, store *rsm.Store) *Server {
 	s := &Server{names: make(map[string]vid.PID)}
 	s.proc = h.SpawnServer("nameserver", 64*1024, s.run)
 	h.JoinGroup(vid.GroupNameServers, s.proc.PID())
+	if n >= 2 {
+		s.rep = rsm.New(h, rsm.Config{
+			Name: "ns", Group: vid.GroupNSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
+		}, &nsSM{s}, store)
+	}
 	return s
 }
 
@@ -79,13 +87,9 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				if _, err := s.rep.Submit(ctx, encodeNsCmd(m.Op, vid.PID(m.W[0]), name)); err != nil {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-					continue
-				}
-			} else {
-				s.names[name] = vid.PID(m.W[0])
+			if s.commit(ctx, m.Op, vid.PID(m.W[0]), name) != nil {
+				ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 		case NsLookup:
@@ -96,13 +100,9 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(pid)}})
 		case NsUnregister:
-			if s.rep != nil {
-				if _, err := s.rep.Submit(ctx, encodeNsCmd(m.Op, vid.Nil, m.SegString())); err != nil {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-					continue
-				}
-			} else {
-				delete(s.names, m.SegString())
+			if s.commit(ctx, m.Op, vid.Nil, m.SegString()) != nil {
+				ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 		case NsList:
@@ -122,6 +122,29 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 		default:
 			ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		}
+	}
+}
+
+// commit is the binding table's one mutation path. A lone server applies
+// the change in place; a replica commits it through the log, and every
+// member applies it there in commit order.
+func (s *Server) commit(ctx *kernel.ProcCtx, op uint16, pid vid.PID, name string) error {
+	if s.rep == nil {
+		s.apply(op, pid, name)
+		return nil
+	}
+	_, err := s.rep.Submit(ctx, encodeNsCmd(op, pid, name))
+	return err
+}
+
+// apply performs one binding change: the state machine's Apply for a
+// replica, commit itself for a lone server.
+func (s *Server) apply(op uint16, pid vid.PID, name string) {
+	switch op {
+	case NsRegister:
+		s.names[name] = pid
+	case NsUnregister:
+		delete(s.names, name)
 	}
 }
 

@@ -22,7 +22,7 @@ func newRig(seed int64) *rig {
 	bus := ethernet.NewBus(eng)
 	client := kernel.NewHost(eng, bus, 0, "ws0")
 	server := kernel.NewHost(eng, bus, 1, "srv")
-	return &rig{eng: eng, ns: Start(server), client: client}
+	return &rig{eng: eng, ns: Start(server, 0, 1, nil), client: client}
 }
 
 func (r *rig) call(t *testing.T, msg vid.Message) (vid.Message, error) {
@@ -85,7 +85,7 @@ func TestRegisterSelfRetriesUntilServerUp(t *testing.T) {
 	eng.RunFor(2 * time.Second)
 	// Now the server comes up; the registrar's retries should land.
 	server := kernel.NewHost(eng, bus, 1, "srv")
-	ns := Start(server)
+	ns := Start(server, 0, 1, nil)
 	eng.RunFor(30 * time.Second)
 	if got := ns.Bindings()["late"]; got != target {
 		t.Fatalf("binding = %v, want %v", got, target)
@@ -119,5 +119,37 @@ func TestLookupHelper(t *testing.T) {
 	r.eng.RunFor(30 * time.Second)
 	if err != nil || got != target {
 		t.Fatalf("Lookup = %v, %v", got, err)
+	}
+}
+
+// TestLoneCommitMatchesReplicaApply pins the binding table's single
+// mutation path: one sequence committed on a lone server and applied as
+// encoded log commands by a replica's state machine must leave
+// byte-identical snapshots.
+func TestLoneCommitMatchesReplicaApply(t *testing.T) {
+	steps := []struct {
+		op   uint16
+		pid  vid.PID
+		name string
+	}{
+		{NsRegister, vid.NewPID(0x0304, 18), "txmgr"},
+		{NsRegister, vid.NewPID(0x0305, 18), "display.ws1"},
+		{NsRegister, vid.NewPID(0x0306, 18), "txmgr"},
+		{NsUnregister, vid.Nil, "display.ws1"},
+		{NsUnregister, vid.Nil, "missing"},
+	}
+	lone := &Server{names: make(map[string]vid.PID)}
+	replica := &nsSM{&Server{names: make(map[string]vid.PID)}}
+	for i, st := range steps {
+		if err := lone.commit(nil, st.op, st.pid, st.name); err != nil {
+			t.Fatalf("step %d: lone commit: %v", i, err)
+		}
+		replica.Apply(nil, encodeNsCmd(st.op, st.pid, st.name))
+	}
+	if string((&nsSM{lone}).Snapshot()) != string(replica.Snapshot()) {
+		t.Fatal("lone server and replica binding tables differ")
+	}
+	if b := lone.Bindings(); len(b) != 1 || b["txmgr"] != vid.NewPID(0x0306, 18) {
+		t.Fatalf("bindings = %v", b)
 	}
 }

@@ -4,30 +4,17 @@ import (
 	"encoding/binary"
 	"sort"
 
-	"vsystem/internal/kernel"
 	"vsystem/internal/rsm"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
 
-// Replicated name service: StartReplica members commit NsRegister and
-// NsUnregister through a consensus log and answer NsLookup/NsList from the
-// leader or any caught-up follower, so the cluster's boot bindings survive
-// the death of the server machine that happened to hold them. Clients keep
-// the group-send protocol unchanged — a replica that cannot answer stays
-// silent and the one that can replies first.
-
-// StartReplica spawns name-server replica id of n on a host. The caller
-// owns store and re-passes it on restart.
-func StartReplica(h *kernel.Host, id, n int, store *rsm.Store) *Server {
-	s := &Server{names: make(map[string]vid.PID)}
-	s.proc = h.SpawnServer("nameserver", 64*1024, s.run)
-	h.JoinGroup(vid.GroupNameServers, s.proc.PID())
-	s.rep = rsm.New(h, rsm.Config{
-		Name: "ns", Group: vid.GroupNSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
-	}, &nsSM{s}, store)
-	return s
-}
+// Replicated name service: members started with n ≥ 2 commit NsRegister
+// and NsUnregister through a consensus log and answer NsLookup/NsList from
+// the leader or any caught-up follower, so the cluster's boot bindings
+// survive the death of the server machine that happened to hold them.
+// Clients keep the group-send protocol unchanged — a replica that cannot
+// answer stays silent and the one that can replies first.
 
 // Replica returns the server's consensus replica (nil when unreplicated).
 func (s *Server) Replica() *rsm.Replica { return s.rep }
@@ -61,15 +48,8 @@ func (f *nsSM) Apply(t *sim.Task, cmd []byte) []byte {
 	if len(cmd) < 6 {
 		return nil
 	}
-	op := binary.LittleEndian.Uint16(cmd[0:])
-	pid := vid.PID(binary.LittleEndian.Uint32(cmd[2:]))
-	name := string(cmd[6:])
-	switch op {
-	case NsRegister:
-		f.s.names[name] = pid
-	case NsUnregister:
-		delete(f.s.names, name)
-	}
+	f.s.apply(binary.LittleEndian.Uint16(cmd[0:]),
+		vid.PID(binary.LittleEndian.Uint32(cmd[2:])), string(cmd[6:]))
 	return nil
 }
 

@@ -63,18 +63,18 @@ func (pm *PM) homeLeading() bool { return pm.home == nil || pm.home.IsLeader() }
 
 // QueueHomeSupervise parks a Supervise record for later resubmission
 // through the group log. A group member whose agent cannot reach the group
-// (mid-election, partitioned) must use this rather than Supervise: a direct
-// registry write on one replica happens outside the log, so it diverges
-// from the other members, gets baked into that replica's snapshots, and —
-// because only the fenced leader renews leases — is never watched anyway.
+// (mid-election, partitioned) uses this rather than Supervise: a member's
+// registry changes only through the log, and the log has no reachable
+// leader right now.
 func (pm *PM) QueueHomeSupervise(si SessionInfo) {
 	pm.homePend = append(pm.homePend, si)
 }
 
 // drainHomePend re-proposes parked Supervise records once the group is
 // reachable again. Sent group-addressed (not committed directly) so it
-// works from any member: whoever leads now commits the record, and the
-// hgSupervise Apply dedupes if the agent's own retry got through first.
+// works from any member: whoever leads now commits the record, and apply
+// drops it as a duplicate if an earlier attempt got through first, even
+// one whose session has finished since (SessionInfo.Started).
 func (pm *PM) drainHomePend(ctx *kernel.ProcCtx) {
 	for len(pm.homePend) > 0 {
 		si := pm.homePend[0]
@@ -153,10 +153,16 @@ func DecodeSessionInfo(b []byte) (*SessionInfo, error) {
 	return &si, nil
 }
 
-// homeCommit submits one registry mutation through the group log. The
-// error matters: a leader that cannot commit has lost its majority and
-// must not act on the mutation's assumption.
-func (pm *PM) homeCommit(ctx *kernel.ProcCtx, c *hgCmd) error {
+// commit is the session registry's one mutation path. A manager outside
+// the home group applies c in place; a member commits it through the group
+// log, and every member applies it there in commit order. The error
+// matters: a leader that cannot commit has lost its majority and must not
+// act on the mutation's assumption.
+func (pm *PM) commit(ctx *kernel.ProcCtx, c *hgCmd) error {
+	if pm.home == nil {
+		pm.apply(c)
+		return nil
+	}
 	_, err := pm.home.Submit(ctx, encodeHgCmd(c))
 	return err
 }
@@ -166,25 +172,46 @@ func (pm *PM) homeCommit(ctx *kernel.ProcCtx, c *hgCmd) error {
 type homeSM struct{ pm *PM }
 
 func (h *homeSM) Apply(t *sim.Task, cmd []byte) []byte {
-	c, err := decodeHgCmd(cmd)
-	if err != nil {
-		return nil
+	if c, err := decodeHgCmd(cmd); err == nil {
+		h.pm.apply(c)
 	}
-	pm := h.pm
+	return nil
+}
+
+// apply performs one registry mutation: the state machine's Apply for a
+// group member, commit itself for a lone manager. Its guards make every
+// kind safe to replay and to arrive late — a finished session stays
+// finished.
+func (pm *PM) apply(c *hgCmd) {
 	if c.Kind == hgSupervise {
-		if c.Sess != nil && pm.sessions[c.Sess.LHID] == nil {
-			pm.registerSession(*c.Sess, sim.Time(c.At))
+		// A record for a live session is a resubmitted duplicate, and so is
+		// one for a finished session with the same start time. Any other
+		// record for a finished session is a new job on a recycled LHID
+		// slot.
+		si := c.Sess
+		if si == nil {
+			return
 		}
-		return nil
+		if old := pm.sessions[si.LHID]; old != nil && (!old.finished() || old.started == si.Started) {
+			return
+		}
+		pm.sessions[si.LHID] = &session{
+			orig: si.LHID, cur: si.LHID, pid: si.PID,
+			name: si.Name, args: si.Args, stdout: si.Stdout, minMem: si.MinMem,
+			hostPM: si.HostPM, hostLH: si.HostLH, started: si.Started,
+			incarnation: 1, maxRestarts: si.MaxRestarts,
+			state: sessionActive, lastRenew: sim.Time(c.At),
+		}
+		return
 	}
 	s := pm.sessions[c.Orig]
 	if s == nil {
-		return nil
+		return
 	}
 	switch c.Kind {
 	case hgRenewed:
-		if s.state == sessionDone || s.state == sessionFailed {
-			return nil
+		if s.finished() {
+			return
 		}
 		s.hostPM = vid.PID(c.HostPM)
 		s.hostLH = vid.LHID(c.HostLH)
@@ -207,8 +234,8 @@ func (h *homeSM) Apply(t *sim.Task, cmd []byte) []byte {
 			s.restarts = c.Attempt
 		}
 	case hgRebind:
-		if s.state == sessionDone || s.state == sessionFailed {
-			return nil
+		if s.finished() {
+			return
 		}
 		nl := vid.LHID(c.NewLH)
 		if nl != s.orig && nl != s.cur {
@@ -220,7 +247,7 @@ func (h *homeSM) Apply(t *sim.Task, cmd []byte) []byte {
 		s.state = sessionActive
 		s.lastRenew = sim.Time(c.At)
 	case hgDone:
-		if s.state != sessionDone && s.state != sessionFailed {
+		if !s.finished() {
 			s.state = sessionDone
 			s.exitCode = c.Code
 		}
@@ -229,7 +256,6 @@ func (h *homeSM) Apply(t *sim.Task, cmd []byte) []byte {
 			s.state = sessionFailed
 		}
 	}
-	return nil
 }
 
 // homeSnap is the registry's deterministic snapshot form: sessions and
@@ -248,6 +274,7 @@ type homeSessRec struct {
 	MinMem      uint32
 	HostPM      vid.PID
 	HostLH      vid.LHID
+	Started     int64
 	Incarnation int
 	Restarts    int
 	MaxRestarts int
@@ -272,6 +299,7 @@ func (h *homeSM) Snapshot() []byte {
 		snap.Sessions = append(snap.Sessions, homeSessRec{
 			Orig: s.orig, Cur: s.cur, PID: s.pid, Name: s.name, Args: s.args,
 			Stdout: s.stdout, MinMem: s.minMem, HostPM: s.hostPM, HostLH: s.hostLH,
+			Started:     int64(s.started),
 			Incarnation: s.incarnation, Restarts: s.restarts, MaxRestarts: s.maxRestarts,
 			State: uint8(s.state), ExitCode: s.exitCode,
 			LastRenew: int64(s.lastRenew), NextRetry: int64(s.nextRetry),
@@ -304,6 +332,7 @@ func (h *homeSM) Restore(b []byte) {
 		pm.sessions[r.Orig] = &session{
 			orig: r.Orig, cur: r.Cur, pid: r.PID, name: r.Name, args: r.Args,
 			stdout: r.Stdout, minMem: r.MinMem, hostPM: r.HostPM, hostLH: r.HostLH,
+			started:     sim.Time(r.Started),
 			incarnation: r.Incarnation, restarts: r.Restarts, maxRestarts: r.MaxRestarts,
 			state: sessionState(r.State), exitCode: r.ExitCode,
 			lastRenew: sim.Time(r.LastRenew), nextRetry: sim.Time(r.NextRetry),

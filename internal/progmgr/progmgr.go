@@ -611,7 +611,7 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 		case PmSupervise:
 			// Register a session with the home group (group-addressed): the
 			// leader commits the record and answers; followers stay silent.
-			if pm.home == nil || !pm.home.IsLeader() {
+			if !pm.homeLeading() {
 				port.Drop(req)
 				continue
 			}
@@ -620,7 +620,7 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if pm.homeCommit(ctx, &hgCmd{Kind: hgSupervise, Sess: si, At: int64(ctx.Now())}) != nil {
+			if pm.Supervise(ctx, *si) != nil {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
 				continue
 			}
@@ -629,16 +629,13 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 		case PmNoteExited:
 			// The agent's Wait saw the exit; commit it so no replica keeps
 			// renewing the dead session after a fail-over.
-			if pm.home == nil || !pm.home.IsLeader() {
+			if !pm.homeLeading() {
 				port.Drop(req)
 				continue
 			}
-			if s := pm.sessionFor(vid.LHID(m.W[0])); s != nil &&
-				s.state != sessionDone && s.state != sessionFailed {
-				if pm.homeCommit(ctx, &hgCmd{Kind: hgDone, Orig: s.orig, Code: m.W[1]}) != nil {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-					continue
-				}
+			if pm.NoteExited(ctx, vid.LHID(m.W[0]), m.W[1]) != nil {
+				ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
@@ -1177,6 +1174,7 @@ type session struct {
 	minMem      uint32
 	hostPM      vid.PID
 	hostLH      vid.LHID // hosting workstation's system LH
+	started     sim.Time // SessionInfo.Started: the job's identity on its slot
 	incarnation int      // 1 for the first execution
 	restarts    int      // recovery attempts consumed
 	maxRestarts int
@@ -1186,6 +1184,9 @@ type session struct {
 	nextRetry   sim.Time // earliest next recovery attempt (broken only)
 	waiters     []*ipc.Req
 }
+
+// finished reports whether the session has reached a final state.
+func (s *session) finished() bool { return s.state == sessionDone || s.state == sessionFailed }
 
 // SupStats counts a manager's supervision activity. The trace-event
 // parity invariant holds cluster-wide: summed over all managers,
@@ -1215,26 +1216,16 @@ type SessionInfo struct {
 	HostPM      vid.PID
 	HostLH      vid.LHID
 	MaxRestarts int
+	// Started is when the agent started the program. It tells a late copy
+	// of this record apart from a new job on the same, recycled LHID slot.
+	Started sim.Time
 }
 
-// Supervise registers a remote job for lease supervision. Called by the
-// originating agent (same host) right after the program starts; with a
-// home group the agent sends PmSupervise instead so the record lands in
-// the replicated registry.
-func (pm *PM) Supervise(si SessionInfo) {
-	pm.registerSession(si, pm.host.Eng.Now())
-}
-
-// registerSession inserts a session record (direct path and home-group
-// Apply share it so the two stay field-for-field identical).
-func (pm *PM) registerSession(si SessionInfo, at sim.Time) {
-	pm.sessions[si.LHID] = &session{
-		orig: si.LHID, cur: si.LHID, pid: si.PID,
-		name: si.Name, args: si.Args, stdout: si.Stdout, minMem: si.MinMem,
-		hostPM: si.HostPM, hostLH: si.HostLH,
-		incarnation: 1, maxRestarts: si.MaxRestarts,
-		state: sessionActive, lastRenew: at,
-	}
+// Supervise registers a remote job for lease supervision. The originating
+// agent (same host) calls it right after the program starts; with a home
+// group the agent sends PmSupervise instead, and the group leader calls it.
+func (pm *PM) Supervise(ctx *kernel.ProcCtx, si SessionInfo) error {
+	return pm.commit(ctx, &hgCmd{Kind: hgSupervise, Sess: &si, At: int64(ctx.Now())})
 }
 
 // sessionFor resolves a session by any of its incarnations' LHIDs.
@@ -1246,12 +1237,14 @@ func (pm *PM) sessionFor(lhid vid.LHID) *session {
 }
 
 // NoteExited marks a supervised session finished (the agent's Wait saw
-// the exit), stopping further lease traffic.
-func (pm *PM) NoteExited(lhid vid.LHID, code uint32) {
-	if s := pm.sessionFor(lhid); s != nil && s.state != sessionDone && s.state != sessionFailed {
-		s.state = sessionDone
-		s.exitCode = code
+// the exit), stopping further lease traffic. A session that is already
+// finished, or unknown, costs no log entry.
+func (pm *PM) NoteExited(ctx *kernel.ProcCtx, lhid vid.LHID, code uint32) error {
+	s := pm.sessionFor(lhid)
+	if s == nil || s.finished() {
+		return nil
 	}
+	return pm.commit(ctx, &hgCmd{Kind: hgDone, Orig: s.orig, Code: code})
 }
 
 // NoteHostDown breaks every active session hosted on the crashed station;
@@ -1337,9 +1330,7 @@ func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
 	for {
 		ctx.Sleep(pollInterval)
 		pm.drainReapQ(ctx)
-		if pm.home != nil {
-			pm.drainHomePend(ctx)
-		}
+		pm.drainHomePend(ctx)
 		ids := make([]vid.LHID, 0, len(pm.sessions))
 		for id := range pm.sessions {
 			ids = append(ids, id)
@@ -1398,20 +1389,11 @@ func (pm *PM) renew(ctx *kernel.ProcCtx, s *session) {
 		// follow the forwarding record. A topology change must survive a
 		// home fail-over, so a replicated registry commits it.
 		hostPM := vid.PID(m.W[1])
-		if pm.home != nil {
-			if pm.homeCommit(ctx, &hgCmd{
-				Kind: hgRenewed, Orig: s.orig, At: int64(ctx.Now()),
-				HostPM: uint32(hostPM), HostLH: uint32(hostPM.LH()), NewLH: m.W[2],
-			}) != nil {
-				return // lost the majority; the next leader follows the move
-			}
-		} else {
-			s.hostPM = hostPM
-			s.hostLH = hostPM.LH()
-			if nl := vid.LHID(m.W[2]); nl != 0 && nl != s.cur {
-				pm.rebindSession(s, nl)
-			}
-			s.lastRenew = ctx.Now()
+		if pm.commit(ctx, &hgCmd{
+			Kind: hgRenewed, Orig: s.orig, At: int64(ctx.Now()),
+			HostPM: uint32(hostPM), HostLH: uint32(hostPM.LH()), NewLH: m.W[2],
+		}) != nil {
+			return // lost the majority; the next leader follows the move
 		}
 		pm.sup.LeaseRenews++
 	case err == nil && m.OK() && m.W[1] == 1:
@@ -1421,12 +1403,7 @@ func (pm *PM) renew(ctx *kernel.ProcCtx, s *session) {
 		s.lastRenew = ctx.Now()
 		pm.sup.LeaseRenews++
 	case err == nil && m.OK() && m.W[1] == 2:
-		if pm.home != nil {
-			pm.homeCommit(ctx, &hgCmd{Kind: hgDone, Orig: s.orig, Code: m.W[2]})
-		} else {
-			s.state = sessionDone
-			s.exitCode = m.W[2]
-		}
+		pm.commit(ctx, &hgCmd{Kind: hgDone, Orig: s.orig, Code: m.W[2]})
 	default:
 		// Transport failure (timeout or host-down) or not-found: the
 		// lease is lost and the session is broken.
@@ -1448,13 +1425,8 @@ func (pm *PM) rebindSession(s *session, newLH vid.LHID) {
 // counter (detector-prompted breaks go through NoteHostDown instead and
 // publish nothing — the detector already did).
 func (pm *PM) expireLease(ctx *kernel.ProcCtx, s *session) {
-	if pm.home != nil {
-		if pm.homeCommit(ctx, &hgCmd{Kind: hgBreak, Orig: s.orig, At: int64(ctx.Now())}) != nil {
-			return // deposed; the next leader re-detects the loss itself
-		}
-	} else {
-		s.state = sessionBroken
-		s.nextRetry = ctx.Now()
+	if pm.commit(ctx, &hgCmd{Kind: hgBreak, Orig: s.orig, At: int64(ctx.Now())}) != nil {
+		return // deposed; the next leader re-detects the loss itself
 	}
 	pm.sup.LeaseExpires++
 	pm.host.Trace().Publish(trace.Event{
@@ -1479,18 +1451,11 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 	if err == nil && m.OK() {
 		// Still running — the host was falsely suspected, or the program
 		// moved and the forwarding record died with its manager.
-		if pm.home != nil {
-			if pm.homeCommit(ctx, &hgCmd{
-				Kind: hgRenewed, Orig: s.orig, At: int64(ctx.Now()),
-				HostPM: m.W[5], HostLH: m.W[0],
-			}) != nil {
-				return
-			}
-		} else {
-			s.hostLH = vid.LHID(m.W[0])
-			s.hostPM = vid.PID(m.W[5])
-			s.state = sessionActive
-			s.lastRenew = ctx.Now()
+		if pm.commit(ctx, &hgCmd{
+			Kind: hgRenewed, Orig: s.orig, At: int64(ctx.Now()),
+			HostPM: m.W[5], HostLH: m.W[0],
+		}) != nil {
+			return
 		}
 		pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.orig, movedTo{pm: s.hostPM, lh: s.cur}))
 		return
@@ -1505,12 +1470,8 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 	// majority, so its Submit times out here and no second incarnation is
 	// ever started — the locate query above plus this committed intent
 	// together uphold the double-execution guard across views.
-	if pm.home != nil {
-		if pm.homeCommit(ctx, &hgCmd{Kind: hgIntent, Orig: s.orig, Attempt: s.restarts + 1}) != nil {
-			return
-		}
-	} else {
-		s.restarts++
+	if pm.commit(ctx, &hgCmd{Kind: hgIntent, Orig: s.orig, Attempt: s.restarts + 1}) != nil {
+		return
 	}
 	if !pm.reexecSession(ctx, s) {
 		if s.restarts >= s.maxRestarts {
@@ -1519,11 +1480,7 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 		}
 		// Exponential backoff before the next attempt.
 		backoff := ctx.Now().Add(params.ExecRestartBackoff << (s.restarts - 1))
-		if pm.home != nil {
-			pm.homeCommit(ctx, &hgCmd{Kind: hgRetryAt, Orig: s.orig, At: int64(backoff)})
-		} else {
-			s.nextRetry = backoff
-		}
+		pm.commit(ctx, &hgCmd{Kind: hgRetryAt, Orig: s.orig, At: int64(backoff)})
 	}
 }
 
@@ -1560,32 +1517,21 @@ func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
 		}
 		return false
 	}
-	if pm.home != nil {
-		if pm.homeCommit(ctx, &hgCmd{
-			Kind: hgRebind, Orig: s.orig, At: int64(ctx.Now()),
-			NewLH: uint32(newLH), NewPID: uint32(newPID),
-			HostPM: uint32(l.PM), HostLH: uint32(l.SystemLH),
-		}) != nil {
-			// Deposed between start and commit: this incarnation is not in
-			// the replicated registry, so destroy it best-effort. Should the
-			// destroy also fail, the orphan is bounded by maxRestarts and
-			// the display's adoption counts keep user output exactly-once.
-			if _, e := ctx.Send(l.PM, vid.Message{
-				Op: PmDestroyProgram, W: [6]uint32{uint32(newLH)},
-			}); e != nil {
-				pm.ReapRemote(l.PM, newLH)
-			}
-			return false
+	if pm.commit(ctx, &hgCmd{
+		Kind: hgRebind, Orig: s.orig, At: int64(ctx.Now()),
+		NewLH: uint32(newLH), NewPID: uint32(newPID),
+		HostPM: uint32(l.PM), HostLH: uint32(l.SystemLH),
+	}) != nil {
+		// Deposed between start and commit: this incarnation is not in
+		// the replicated registry, so destroy it best-effort. Should the
+		// destroy also fail, the orphan is bounded by maxRestarts and
+		// the display's adoption counts keep user output exactly-once.
+		if _, e := ctx.Send(l.PM, vid.Message{
+			Op: PmDestroyProgram, W: [6]uint32{uint32(newLH)},
+		}); e != nil {
+			pm.ReapRemote(l.PM, newLH)
 		}
-	} else {
-		if newLH != s.orig {
-			pm.alias[newLH] = s.orig
-		}
-		s.cur, s.pid = newLH, newPID
-		s.hostPM, s.hostLH = l.PM, l.SystemLH
-		s.incarnation++
-		s.state = sessionActive
-		s.lastRenew = ctx.Now()
+		return false
 	}
 	pm.sup.ExecRestarts++
 	pm.host.Trace().Publish(trace.Event{
@@ -1599,12 +1545,8 @@ func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
 // failSession gives up on a session: waiters see an abort and the user
 // gets a notification line.
 func (pm *PM) failSession(ctx *kernel.ProcCtx, s *session) {
-	if pm.home != nil {
-		if pm.homeCommit(ctx, &hgCmd{Kind: hgFailed, Orig: s.orig}) != nil {
-			return // deposed; the next leader decides the session's fate
-		}
-	} else {
-		s.state = sessionFailed
+	if pm.commit(ctx, &hgCmd{Kind: hgFailed, Orig: s.orig}) != nil {
+		return // deposed; the next leader decides the session's fate
 	}
 	pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
 	if s.stdout != vid.Nil {

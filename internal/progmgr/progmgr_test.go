@@ -1,6 +1,8 @@
 package progmgr
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +37,7 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 		r.pms = append(r.pms, Start(h))
 	}
 	fsh := kernel.NewHost(eng, bus, n, "fserv")
-	r.fs = fileserver.Start(fsh)
+	r.fs = fileserver.Start(fsh, 0, 1, nil)
 	img := workload.Image(workload.Spec{Name: "job", HotKB: 8, HotRateKBps: 40, DurationMs: 2000}, 0)
 	r.fs.Put("job", img.Encode())
 	return r
@@ -390,5 +392,73 @@ func TestWaiterReplyComesFromPMPort(t *testing.T) {
 	}
 	if replySrc != r.pms[1].PID() {
 		t.Fatalf("wait reply emitted from %v, want the PM port %v", replySrc, r.pms[1].PID())
+	}
+}
+
+// TestLoneCommitMatchesHomeApply pins the session registry's single
+// mutation path: one mutation sequence committed on a lone manager and
+// applied as encoded log commands by a home-group member's state machine
+// must leave byte-identical snapshots. The sequence includes the late
+// arrivals whose guards the two paths once disagreed on: a rebind and a
+// failure after the session is done. A late copy of a finished session's
+// own record must not reopen it; a new job on its recycled slot must.
+func TestLoneCommitMatchesHomeApply(t *testing.T) {
+	registry := func() *PM {
+		return &PM{sessions: make(map[vid.LHID]*session), alias: make(map[vid.LHID]vid.LHID)}
+	}
+	lh := func(station, slot uint16) vid.LHID { return vid.NewHostLH(station, slot) }
+	sess := func(id vid.LHID, name string, started sim.Time) *SessionInfo {
+		return &SessionInfo{
+			LHID: id, PID: vid.NewPID(id, vid.IdxFirstProcess), Name: name, Args: []string{"-x"},
+			HostPM: vid.NewPID(lh(5, 0), vid.IdxProgramManager), HostLH: lh(5, 0), MaxRestarts: 3,
+			Started: started,
+		}
+	}
+	a, b, c := lh(5, 1), lh(5, 2), lh(5, 3)
+	steps := []*hgCmd{
+		{Kind: hgSupervise, Sess: sess(a, "a", 1), At: 10},
+		{Kind: hgSupervise, Sess: sess(b, "b", 2), At: 11},
+		{Kind: hgSupervise, Sess: sess(c, "c", 3), At: 12},
+		{Kind: hgSupervise, Sess: sess(a, "a-duplicate", 1), At: 13}, // live: ignored
+		{Kind: hgRenewed, Orig: a, At: 20, HostPM: 0x0601, HostLH: uint32(lh(6, 0)), NewLH: uint32(lh(6, 4))},
+		{Kind: hgBreak, Orig: a, At: 30},
+		{Kind: hgRetryAt, Orig: a, At: 35},
+		{Kind: hgIntent, Orig: a, Attempt: 1},
+		{Kind: hgRebind, Orig: a, At: 40, NewLH: uint32(lh(7, 1)), NewPID: uint32(vid.NewPID(lh(7, 1), vid.IdxFirstProcess)), HostPM: 0x0701, HostLH: uint32(lh(7, 0))},
+		{Kind: hgRetryAt, Orig: a, At: 45}, // active, not broken: ignored
+		{Kind: hgDone, Orig: b, Code: 7},
+		{Kind: hgRebind, Orig: b, At: 50, NewLH: uint32(lh(8, 1)), HostLH: uint32(lh(8, 0))}, // done: ignored
+		{Kind: hgRenewed, Orig: b, At: 51, HostLH: uint32(lh(8, 0))},                         // done: ignored
+		{Kind: hgBreak, Orig: b, At: 52},                                                     // done: ignored
+		{Kind: hgFailed, Orig: b},                                                            // done stays done
+		{Kind: hgSupervise, Sess: sess(b, "b-duplicate", 2), At: 53},                         // late copy: done stays done
+		{Kind: hgBreak, Orig: c, At: 60},
+		{Kind: hgFailed, Orig: c},
+		{Kind: hgDone, Orig: c, Code: 3},                             // failed stays failed
+		{Kind: hgSupervise, Sess: sess(c, "c-recycled", 65), At: 70}, // finished: a new job on the slot
+		{Kind: hgDone, Orig: lh(9, 9), Code: 1},                      // unknown session
+	}
+	lone, member := registry(), registry()
+	for i, c := range steps {
+		if err := lone.commit(nil, c); err != nil {
+			t.Fatalf("step %d: lone commit: %v", i, err)
+		}
+		(&homeSM{member}).Apply(nil, encodeHgCmd(c))
+	}
+	if !bytes.Equal((&homeSM{lone}).Snapshot(), (&homeSM{member}).Snapshot()) {
+		t.Fatal("lone manager and home-group member registries differ")
+	}
+	want := map[vid.LHID]string{a: "active/2", b: "done/1", c: "active/1"}
+	for id, w := range want {
+		s := lone.sessions[id]
+		if got := fmt.Sprintf("%s/%d", s.state, s.incarnation); got != w {
+			t.Errorf("session %v: %s, want %s", id, got, w)
+		}
+	}
+	if s := lone.sessions[b]; s.exitCode != 7 || s.name != "b" {
+		t.Errorf("done session is %q with exit code %d, want b with 7", s.name, s.exitCode)
+	}
+	if s := lone.sessions[c]; s.name != "c-recycled" {
+		t.Errorf("recycled slot kept %q, want the new job", s.name)
 	}
 }

@@ -90,8 +90,14 @@ const (
 	regHotAcc    = kernel.RegUser + 3 // 16.16 fixed-point KB accumulators
 	regStreamAcc = kernel.RegUser + 4
 	regStreamPos = kernel.RegUser + 5 // KB offset within the stream window
-	regPending   = kernel.RegUser + 6 // 1 = output send outstanding
+	regPending   = kernel.RegUser + 6 // pendingLine/pendingFinal: output send outstanding
 	regInitPos   = kernel.RegUser + 7 // allocation progress during init
+)
+
+// regPending values: which output line a send in flight carries.
+const (
+	pendingLine  = 1 // a progress line; the loop goes on after it
+	pendingFinal = 2 // the final line; the program exits after it
 )
 
 type body struct{}
@@ -110,11 +116,16 @@ func (b *body) Run(ctx *kernel.ProcCtx) {
 	streamPages := pagesOf(spec.StreamKB)
 
 	// A migration can interrupt an output transaction; finish it first.
-	if r.W[regPending] != 0 {
+	// The final line is the program's last act: re-entering the loop after
+	// it would print it again, because the tick counter has not moved.
+	if pending := r.W[regPending]; pending != 0 {
 		if ctx.Sending() {
 			ctx.AwaitReply()
 		}
 		r.W[regPending] = 0
+		if pending == pendingFinal {
+			ctx.Exit(0)
+		}
 	}
 
 	if r.W[regRNG] == 0 {
@@ -140,7 +151,7 @@ func (b *body) Run(ctx *kernel.ProcCtx) {
 
 	for {
 		if spec.DurationMs > 0 && r.W[regTicks]*tickMs >= spec.DurationMs {
-			b.output(ctx, r, fmt.Sprintf("%s: done after %d ms", spec.Name, r.W[regTicks]*tickMs))
+			b.output(ctx, r, pendingFinal, fmt.Sprintf("%s: done after %d ms", spec.Name, r.W[regTicks]*tickMs))
 			ctx.Exit(0)
 		}
 		ctx.Compute(tickMs * time.Millisecond)
@@ -168,20 +179,20 @@ func (b *body) Run(ctx *kernel.ProcCtx) {
 		}
 
 		if spec.OutputEveryMs > 0 && r.W[regTicks]%(spec.OutputEveryMs/tickMs) == 0 {
-			b.output(ctx, r, fmt.Sprintf("%s: tick %d", spec.Name, r.W[regTicks]))
+			b.output(ctx, r, pendingLine, fmt.Sprintf("%s: tick %d", spec.Name, r.W[regTicks]))
 		}
 	}
 }
 
 // output writes a line to the program's stdout server, with the
-// migration-safe pending protocol.
-func (b *body) output(ctx *kernel.ProcCtx, r *kernel.Regs, line string) {
+// migration-safe pending protocol; pending marks which line is in flight.
+func (b *body) output(ctx *kernel.ProcCtx, r *kernel.Regs, pending uint32, line string) {
 	as := ctx.Space()
 	stdout, err := as.ReadWord(0x04) // EnvStdoutPID
 	if err != nil || stdout == 0 {
 		return
 	}
-	r.W[regPending] = 1
+	r.W[regPending] = pending
 	ctx.StartSend(vid.PID(stdout), vid.Message{Op: vvm.OpWriteLine, Seg: []byte(line)})
 	ctx.AwaitReply()
 	r.W[regPending] = 0

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/sim"
+	"vsystem/internal/vid"
 	"vsystem/internal/vvm"
 )
 
@@ -152,6 +154,100 @@ func TestImageSpaceSizeCoversWorkingSet(t *testing.T) {
 		need := uint32(vvm.CodeBase) + uint32((s.HotKB+s.StreamKB)*1024)
 		if img.SpaceSize < need {
 			t.Errorf("%s: space %d < working set %d", s.Name, img.SpaceSize, need)
+		}
+	}
+}
+
+// migrateLH moves a logical host between hosts at the kernel API level,
+// in one synchronous step: freeze, snapshot, copy every page, install,
+// take over the identity, destroy the old copy, unfreeze.
+func migrateLH(t *testing.T, from, to *kernel.Host, lh *kernel.LogicalHost) *kernel.LogicalHost {
+	t.Helper()
+	from.Freeze(lh)
+	st := from.SnapshotKernelState(lh)
+	nlh := to.CreateLH("incoming", true)
+	to.Freeze(nlh)
+	for _, src := range lh.Spaces() {
+		dst, err := nlh.InstallSpace(src.ID, src.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pn := range src.AllPages() {
+			dst.InstallPage(pn, src.Page(pn))
+		}
+	}
+	if err := to.InstallKernelState(nlh, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := to.ChangeLHID(nlh, st.LHID); err != nil {
+		t.Fatal(err)
+	}
+	from.DestroyLH(lh)
+	to.Unfreeze(nlh, true)
+	return nlh
+}
+
+// outputAcrossMigration runs a workload that prints to a stdout server on
+// a third host. When the server receives the line at, it migrates the
+// program to another host before replying, so the program is frozen with
+// that output send in flight. It returns every line the server received
+// and the migrated program.
+func outputAcrossMigration(t *testing.T, spec Spec, at string) ([]string, *kernel.Process) {
+	t.Helper()
+	eng := sim.NewEngine(3)
+	bus := ethernet.NewBus(eng)
+	src := kernel.NewHost(eng, bus, 0, "src")
+	dst := kernel.NewHost(eng, bus, 1, "dst")
+	term := kernel.NewHost(eng, bus, 2, "term")
+	img := Image(spec, 0)
+	var lines []string
+	var lh *kernel.LogicalHost
+	var moved *kernel.Process
+	out := term.SpawnServer("stdout", 4096, func(ctx *kernel.ProcCtx) {
+		for {
+			req := ctx.Receive()
+			line := req.Msg.SegString()
+			lines = append(lines, line)
+			if line == at && moved == nil {
+				moved = migrateLH(t, src, dst, lh).Procs()[0]
+			}
+			ctx.Reply(req, vid.Message{Op: req.Msg.Op})
+		}
+	})
+	lh = src.CreateLH(img.Name, true)
+	as, err := lh.CreateSpace(img.SpaceSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteAt(vvm.CodeBase, img.Code); err != nil {
+		t.Fatal(err)
+	}
+	as.WriteWord(0x04, uint32(out.PID())) // EnvStdoutPID
+	src.Start(lh.NewProcess(as.ID, img.Kind, kernel.Regs{}))
+	eng.RunFor(30 * time.Second)
+	if moved == nil {
+		t.Fatalf("line %q never arrived; got %q", at, lines)
+	}
+	return lines, moved
+}
+
+// TestOutputPendingAtFreezePrintedOnce pins the output protocol across a
+// migration that freezes the program mid-send. The final line in flight
+// must be printed once: the resumed program exits after completing it
+// rather than re-entering its loop, whose exit test still holds. A last
+// progress line in flight at the same tick count (OutputEveryMs divides
+// DurationMs) must still be followed by the final line.
+func TestOutputPendingAtFreezePrintedOnce(t *testing.T) {
+	spec := Spec{Name: "w", HotKB: 8, HotRateKBps: 50, DurationMs: 200, OutputEveryMs: 100}
+	want := []string{"w: tick 10", "w: tick 20", "w: done after 200 ms"}
+	for _, at := range []string{"w: done after 200 ms", "w: tick 20"} {
+		lines, p := outputAcrossMigration(t, spec, at)
+		if strings.Join(lines, "|") != strings.Join(want, "|") {
+			t.Errorf("frozen at %q: lines %q, want %q", at, lines, want)
+		}
+		if !p.Dead() || p.Regs().W[kernel.RegExitCode] != 0 {
+			t.Errorf("frozen at %q: migrated program dead=%v exit=%d",
+				at, p.Dead(), p.Regs().W[kernel.RegExitCode])
 		}
 	}
 }
